@@ -112,7 +112,7 @@ impl HostBatch {
                 self.stats.down_steps = self.stats.down_steps.saturating_add(1);
                 continue;
             }
-            if m.solver_tuning().memo && !m.is_dirty() && m.replay_skip_into(&mut reports[i]) {
+            if m.replay_skip_into(&mut reports[i]) {
                 filled += 1;
                 self.stats.adaptive_skips = self.stats.adaptive_skips.saturating_add(1);
                 continue;

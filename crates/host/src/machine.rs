@@ -246,10 +246,15 @@ pub struct HostMachine {
     /// state, so a policy that verifies can detect the failure.
     actuation_fault: bool,
     /// Set by every mutation that can change the solver input or its
-    /// meaning; cleared by each solved step. While clear (and memoization
-    /// is on), the machine's configuration is unchanged since its last
-    /// step, so the fleet batch path may replay [`HostMachine::solve`]'s
-    /// guaranteed memo hit without lowering or solving at all.
+    /// meaning; cleared by each solved step. The task, flow, SMT,
+    /// brownout, stress and actuator setters are value-aware: a write of
+    /// the current value leaves it clear. [`HostMachine::mem_mut`] cannot
+    /// tell, and tuning changes and lifecycle transitions always set it.
+    /// While clear (and memoization is on), the machine's configuration is
+    /// unchanged since its last step, so the replay paths
+    /// ([`HostMachine::replay_in_place`], the fleet batch path's adaptive
+    /// skip) may serve [`HostMachine::solve`]'s guaranteed memo hit without
+    /// lowering or solving at all.
     dirty: std::cell::Cell<bool>,
     /// The last step's report — the adaptive-skip replay value.
     last_report: std::cell::RefCell<Option<MachineReport>>,
@@ -426,8 +431,10 @@ impl HostMachine {
 
     /// Overrides the SMT model.
     pub fn set_smt(&mut self, smt: SmtModel) {
-        self.smt = smt;
-        self.mark_dirty();
+        if self.smt != smt {
+            self.smt = smt;
+            self.mark_dirty();
+        }
     }
 
     /// Registers a task with initial core allocations; returns its id.
@@ -554,7 +561,7 @@ impl HostMachine {
         // previous step's, whose report is still memoized (FIFO eviction
         // only happens on insert), so the memo hit is guaranteed — replay
         // it without lowering or scanning.
-        if self.tuning.memo && !self.is_dirty() && self.replay_skip_into(out) {
+        if self.replay_skip_into(out) {
             return;
         }
         let lowered = self.lower();
@@ -568,6 +575,30 @@ impl HostMachine {
         self.memo_put(lowered.input, &report);
         self.finish_step(&report);
         *out = report;
+    }
+
+    /// The quiet-tick tier in front of [`HostMachine::step_into`]: when
+    /// `step_into` would take its replay branch — the machine is serving,
+    /// memoization is on, nothing changed since the last solved step, and
+    /// there is a last report — counts that guaranteed memo hit and returns
+    /// `true` without touching any report. Returns `false` — and does
+    /// nothing — otherwise; the caller then steps normally.
+    ///
+    /// Caller's contract: a `true` answer stands for "this step's report is
+    /// the one already in your buffer", so the caller's buffer must hold the
+    /// report of *this* machine's previous step (filled by `step_into` and
+    /// not modified since). A buffer shared across machines, or one never
+    /// filled by this machine, must go through `step_into` instead.
+    pub fn replay_in_place(&self) -> bool {
+        if !self.lifecycle.is_serving()
+            || !self.tuning.memo
+            || self.is_dirty()
+            || self.last_report.borrow().is_none()
+        {
+            return false;
+        }
+        self.note_memo_hit();
+        true
     }
 
     /// One non-serving (`Down`/`Recovering`) step: counts a safe-state
@@ -837,24 +868,21 @@ impl HostMachine {
         std::mem::take(&mut *self.scratch.borrow_mut())
     }
 
-    /// The adaptive-skip fast path: replays the last report for a clean
-    /// machine into `out` (allocation-free when `out` already has the same
-    /// shape), counting it as a memo-served solve. Returns `false` — and
-    /// does nothing — when there is no previous report. Only valid when the
-    /// machine is clean (its configuration is unchanged, so the scalar path
-    /// would take a guaranteed memo hit on the same report); `last_report`
-    /// and the clean flag are already exactly what [`finish_step`] would
-    /// store, so neither is rewritten.
+    /// The adaptive-skip fast path: [`HostMachine::replay_in_place`] plus
+    /// the copy of the last report into `out` (allocation-free when `out`
+    /// already has the same shape). Returns `false` — and does nothing —
+    /// whenever `replay_in_place` would. `last_report` and the clean flag
+    /// are already exactly what [`finish_step`] would store, so neither is
+    /// rewritten.
     ///
     /// [`finish_step`]: HostMachine::finish_step
     pub(crate) fn replay_skip_into(&self, out: &mut MachineReport) -> bool {
-        let last = self.last_report.borrow();
-        let Some(report) = last.as_ref() else {
+        if !self.replay_in_place() {
             return false;
-        };
-        out.clone_from(report);
-        drop(last);
-        self.note_memo_hit();
+        }
+        if let Some(report) = self.last_report.borrow().as_ref() {
+            out.clone_from(report);
+        }
         true
     }
 
@@ -957,8 +985,10 @@ impl Actuator for HostMachine {
             return;
         }
         if let Some(t) = self.tasks.get_mut(task.0) {
-            t.allocations = allocations;
-            self.dirty.set(true);
+            if t.allocations != allocations {
+                t.allocations = allocations;
+                self.dirty.set(true);
+            }
         }
     }
 
@@ -967,8 +997,10 @@ impl Actuator for HostMachine {
             return;
         }
         if let Some(t) = self.tasks.get_mut(task.0) {
-            t.prefetch = setting;
-            self.dirty.set(true);
+            if t.prefetch != setting {
+                t.prefetch = setting;
+                self.dirty.set(true);
+            }
         }
     }
 
@@ -977,15 +1009,17 @@ impl Actuator for HostMachine {
             return;
         }
         if let Some(t) = self.tasks.get_mut(task.0) {
-            t.bw_cap = cap_gbps;
-            self.dirty.set(true);
+            if t.bw_cap != cap_gbps {
+                t.bw_cap = cap_gbps;
+                self.dirty.set(true);
+            }
         }
     }
 
     fn set_cat(&mut self, cat: CatAllocation) {
-        self.cache.borrow_mut().clear();
-        self.mark_dirty();
-        self.mem.set_cat(cat);
+        if self.mem.cat() != cat {
+            self.mem_mut().set_cat(cat);
+        }
     }
 
     fn allocations(&self, task: HostTaskId) -> &[CpuAllocation] {
@@ -1384,6 +1418,260 @@ mod tests {
         assert_eq!(
             recovered, healthy,
             "cold restart reproduces the pre-fault report"
+        );
+    }
+
+    /// A machine with two live stream tasks, a dead task and one fixed
+    /// flow — enough state for every mutator to have something to change.
+    struct Fixture {
+        m: HostMachine,
+        task: HostTaskId,
+        other: HostTaskId,
+        dead: HostTaskId,
+        flow: FlowId,
+    }
+
+    fn fixture() -> Fixture {
+        let mut m = machine(SncMode::Disabled);
+        let task = m.add_task(
+            stream_spec(8),
+            vec![CpuAllocation::local(DomainId::new(0, 0), 8)],
+        );
+        let other = m.add_task(
+            stream_spec(4),
+            vec![CpuAllocation::local(DomainId::new(0, 0), 4)],
+        );
+        let dead = m.add_task(
+            stream_spec(2),
+            vec![CpuAllocation::local(DomainId::new(0, 0), 2)],
+        );
+        m.remove_task(dead);
+        let flow = m.add_flow(FixedFlow {
+            target: DomainId::new(0, 0),
+            source_socket: None,
+            gbps: 4.0,
+            weight: 1.0,
+        });
+        Fixture {
+            m,
+            task,
+            other,
+            dead,
+            flow,
+        }
+    }
+
+    /// The scripted edit applied before tick `tick`: intensity flips, flow
+    /// changes, a channel derate, every actuator, and same-value writes,
+    /// cycling so later rounds revisit memoized configurations.
+    fn scripted_edit(f: &mut Fixture, tick: usize) {
+        let round = (tick / 16) % 2 == 1;
+        let Fixture { m, task, flow, .. } = f;
+        let (task, flow) = (*task, *flow);
+        match tick % 16 {
+            1 => m.set_intensity(task, if round { 0.25 } else { 0.5 }),
+            3 => m.set_intensity(task, 1.0),
+            4 => m.set_intensity(task, 1.0),
+            5 => m.set_flow_gbps(flow, if round { 4.0 } else { 9.0 }),
+            6 => m.set_flow_gbps(flow, if round { 4.0 } else { 9.0 }),
+            7 => m
+                .mem_mut()
+                .set_channel_derate(SocketId(0), if round { 1.0 } else { 0.7 }),
+            8 => m.set_prefetchers(task, PrefetchSetting::fraction(0.5)),
+            9 => m.set_prefetchers(task, PrefetchSetting::all_on()),
+            10 => m.set_allocations(task, vec![CpuAllocation::local(DomainId::new(0, 0), 6)]),
+            11 => m.set_allocations(task, vec![CpuAllocation::local(DomainId::new(0, 0), 8)]),
+            12 => m.set_bw_cap(task, if round { None } else { Some(3.0) }),
+            13 => m.set_cat(CatAllocation::with_dedicated(11, if round { 0 } else { 4 })),
+            14 => m.set_cat(m.mem().cat()),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn replay_in_place_is_identical_to_step_into() {
+        let mut stepped = fixture();
+        let mut quiet = fixture();
+        let mut a = MachineReport::empty();
+        let mut b = MachineReport::empty();
+        let mut b_is_ours = false;
+        let (mut quiet_ticks, mut refusals) = (0, 0);
+        for tick in 0..64 {
+            scripted_edit(&mut stepped, tick);
+            scripted_edit(&mut quiet, tick);
+            stepped.m.step_into(&mut a);
+            if b_is_ours && quiet.m.replay_in_place() {
+                quiet_ticks += 1;
+            } else {
+                refusals += 1;
+                quiet.m.step_into(&mut b);
+                b_is_ours = true;
+            }
+            assert_eq!(a, b, "report diverged @ {tick}");
+            assert_eq!(
+                stepped.m.solve_stats(),
+                quiet.m.solve_stats(),
+                "stats diverged @ {tick}"
+            );
+            assert_eq!(
+                stepped.m.memo_snapshot(),
+                quiet.m.memo_snapshot(),
+                "memo diverged @ {tick}"
+            );
+        }
+        assert!(quiet_ticks > 16, "quiet tier barely fired: {quiet_ticks}");
+        assert!(refusals > 10, "script barely changed state: {refusals}");
+    }
+
+    /// A machine mutator applied to a clean fixture.
+    type Mutator = fn(&mut Fixture);
+
+    #[test]
+    fn every_mutator_gates_the_quiet_tier() {
+        // (name, a write that changes state, a write of the current value).
+        let table: [(&str, Mutator, Option<Mutator>); 14] = [
+            (
+                "set_intensity",
+                |f| f.m.set_intensity(f.task, 0.5),
+                Some(|f| f.m.set_intensity(f.task, 1.0)),
+            ),
+            (
+                "set_desired_threads",
+                |f| f.m.set_desired_threads(f.task, 3),
+                Some(|f| f.m.set_desired_threads(f.task, 8)),
+            ),
+            (
+                "set_flow_gbps",
+                |f| f.m.set_flow_gbps(f.flow, 7.5),
+                Some(|f| f.m.set_flow_gbps(f.flow, 4.0)),
+            ),
+            (
+                "add_flow",
+                |f| {
+                    f.m.add_flow(FixedFlow {
+                        target: DomainId::new(0, 1),
+                        source_socket: None,
+                        gbps: 1.0,
+                        weight: 1.0,
+                    });
+                },
+                None,
+            ),
+            (
+                "add_task",
+                |f| {
+                    f.m.add_task(
+                        stream_spec(2),
+                        vec![CpuAllocation::local(DomainId::new(0, 1), 2)],
+                    );
+                },
+                None,
+            ),
+            (
+                "remove_task",
+                |f| f.m.remove_task(f.other),
+                Some(|f| f.m.remove_task(f.dead)),
+            ),
+            (
+                "set_smt",
+                |f| {
+                    f.m.set_smt(SmtModel {
+                        two_thread_penalty: 1.9,
+                    })
+                },
+                Some(|f| f.m.set_smt(SmtModel::default())),
+            ),
+            (
+                "mem_mut",
+                |f| f.m.mem_mut().set_channel_derate(SocketId(0), 0.5),
+                None,
+            ),
+            (
+                "set_brownout",
+                |f| f.m.set_brownout(0.6),
+                Some(|f| f.m.set_brownout(1.0)),
+            ),
+            (
+                "set_solver_stress",
+                |f| f.m.set_solver_stress(Some(0.5)),
+                Some(|f| f.m.set_solver_stress(None)),
+            ),
+            (
+                "set_allocations",
+                |f| {
+                    f.m.set_allocations(f.task, vec![CpuAllocation::local(DomainId::new(0, 1), 8)])
+                },
+                Some(|f| {
+                    f.m.set_allocations(f.task, vec![CpuAllocation::local(DomainId::new(0, 0), 8)])
+                }),
+            ),
+            (
+                "set_prefetchers",
+                |f| f.m.set_prefetchers(f.task, PrefetchSetting::all_off()),
+                Some(|f| f.m.set_prefetchers(f.task, PrefetchSetting::all_on())),
+            ),
+            (
+                "set_bw_cap",
+                |f| f.m.set_bw_cap(f.task, Some(2.0)),
+                Some(|f| f.m.set_bw_cap(f.task, None)),
+            ),
+            (
+                "set_cat",
+                |f| f.m.set_cat(CatAllocation::with_dedicated(11, 4)),
+                Some(|f| {
+                    let cat = f.m.mem().cat();
+                    f.m.set_cat(cat);
+                }),
+            ),
+        ];
+        for (name, change, same) in table {
+            let mut f = fixture();
+            let mut out = MachineReport::empty();
+            f.m.step_into(&mut out);
+            assert!(f.m.replay_in_place(), "{name}: clean machine must replay");
+            if let Some(same) = same {
+                same(&mut f);
+                assert!(
+                    f.m.replay_in_place(),
+                    "{name}: a same-value write must keep the machine clean"
+                );
+            }
+            change(&mut f);
+            assert!(
+                !f.m.replay_in_place(),
+                "{name}: a real change must refuse the quiet tier"
+            );
+            f.m.step_into(&mut out);
+            assert!(f.m.replay_in_place(), "{name}: the next step cleans again");
+        }
+        // `mem_mut` hands out the memory system unchecked, so even a write of
+        // the current value counts as a change; callers compare first.
+        let mut f = fixture();
+        f.m.solve();
+        f.m.mem_mut().set_channel_derate(SocketId(0), 1.0);
+        assert!(!f.m.replay_in_place());
+    }
+
+    #[test]
+    fn replay_in_place_refuses_without_a_clean_serving_memo() {
+        let mut f = fixture();
+        assert!(!f.m.replay_in_place(), "fresh machine: dirty, no report");
+        f.m.solve();
+        f.m.crash();
+        f.m.solve();
+        assert!(!f.m.replay_in_place(), "down machine");
+        f.m.restore();
+        f.m.solve();
+        assert!(f.m.replay_in_place());
+        f.m.set_solver_tuning(SolverTuning::baseline());
+        f.m.solve();
+        assert!(!f.m.replay_in_place(), "memoization off");
+        let hits = f.m.solve_stats().memo_hits;
+        assert!(!f.m.replay_in_place());
+        assert_eq!(
+            f.m.solve_stats().memo_hits,
+            hits,
+            "a refusal counts nothing"
         );
     }
 

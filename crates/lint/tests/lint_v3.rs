@@ -261,22 +261,19 @@ fn retired_runner_scope_region_is_sanitized_by_its_index_rendezvous() {
     }
 }
 
-/// The fleet and resilient worker pools are clean because every chunk a
-/// worker touches is bound inside the region — analyzed, not skipped.
+/// The fleet worker pool (the one scope region `FleetSim` and
+/// `ResilientFleet` share) is clean because every chunk a worker touches is
+/// bound inside the region — analyzed, not skipped.
 #[test]
 fn real_fleet_and_resilient_scope_regions_are_clean() {
-    for rel in [
-        "crates/workloads/src/fleet.rs",
-        "crates/workloads/src/resilient.rs",
-    ] {
-        let src = workspace_file(rel);
-        assert!(
-            src.contains("thread::scope"),
-            "{rel} no longer has a scope region; retire this test"
-        );
-        let diags = scope_diags_for("crates/core/src/under_test.rs", &src);
-        assert_eq!(diags, vec![], "{rel} scope region fired: {diags:?}");
-    }
+    let rel = "crates/workloads/src/fleet.rs";
+    let src = workspace_file(rel);
+    assert!(
+        src.contains("thread::scope"),
+        "{rel} no longer has a scope region; retire this test"
+    );
+    let diags = scope_diags_for("crates/core/src/under_test.rs", &src);
+    assert_eq!(diags, vec![], "{rel} scope region fired: {diags:?}");
 }
 
 /// Witness chains render as structured JSON and the rendering is

@@ -224,7 +224,7 @@ fn write_string<S: JsonSink + ?Sized>(out: &mut S, s: &str) {
 fn parse(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(s, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::new(format!("trailing characters at byte {pos}")));
@@ -238,14 +238,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, Error> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error::new("unexpected end of input")),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+        Some(b'"') => parse_string(text, pos).map(Value::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -255,7 +256,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -277,13 +278,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(Error::new(format!("expected `:` at byte {pos}")));
                 }
                 *pos += 1;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(text, pos)?;
                 entries.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -309,22 +310,35 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, kw: &str, value: Value) -> Resul
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, Error> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(Error::new(format!("expected `\"` at byte {pos}")));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the maximal run of plain bytes in one push. `"` and `\` are
+        // ASCII, so both ends of the run are char boundaries of `text` and
+        // the run needs no UTF-8 re-validation.
+        let rest = text.get(*pos..).unwrap_or_default();
+        let run = rest
+            .bytes()
+            .position(|b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        out.push_str(rest.get(..run).unwrap_or_default());
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(Error::new("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
+                    None => return Err(Error::new("unterminated string")),
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
@@ -334,11 +348,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                     Some(b'b') => out.push('\u{08}'),
                     Some(b'f') => out.push('\u{0c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| Error::new("bad \\u escape"))?;
+                        let hex = text.get(*pos + 1..*pos + 5).ok_or_else(|| {
+                            Error::new(if *pos + 5 > bytes.len() {
+                                "truncated \\u escape"
+                            } else {
+                                "bad \\u escape"
+                            })
+                        })?;
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| Error::new("bad \\u escape"))?;
                         // Surrogate pairs are not needed by this repo's data.
@@ -348,17 +364,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                     _ => return Err(Error::new(format!("bad escape at byte {pos}"))),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| Error::new("truncated string"))?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -500,5 +505,47 @@ mod tests {
         assert_eq!(v, back);
         let nums: Vec<i32> = from_str("[1,2,3]").unwrap();
         assert_eq!(nums, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn strings_mix_multibyte_characters_and_escapes() {
+        let parsed: String = from_str(r#""é\n日本\"x\\ü🦀\t""#).unwrap();
+        assert_eq!(parsed, "é\n日本\"x\\ü🦀\t");
+        let s = "ß\"\u{1}→\\".to_string();
+        assert_eq!(from_str::<String>(&to_string(&s).unwrap()).unwrap(), s);
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        let parsed: String = from_str(r#""\u0041\u00e9\u65e5z\u0001""#).unwrap();
+        assert_eq!(parsed, "Aé日z\u{1}");
+        assert!(from_str::<String>(r#""\u00""#).is_err(), "truncated escape");
+        assert!(from_str::<String>(r#""\u00zz""#).is_err(), "non-hex escape");
+        assert!(
+            from_str::<String>(r#""\u00é""#).is_err(),
+            "non-ASCII escape"
+        );
+        assert!(from_str::<String>(r#""\q""#).is_err(), "unknown escape");
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for text in [r#"""#, r#""abc"#, r#""日本"#, r#""ab\"#, r#""ab\""#] {
+            let err = from_str::<String>(text).unwrap_err();
+            assert!(err.to_string().contains("unterminated"), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn megabyte_string_roundtrips() {
+        // ~1 MB of mixed ASCII, multi-byte characters and escapes; the
+        // parser copies plain runs in bulk, so this stays linear.
+        let unit = "plain ascii text é日🦀 \"quoted\" back\\slash\n\t";
+        let big: String = unit.repeat(1 << 20 >> 5);
+        assert!(big.len() >= 1 << 20);
+        let text = to_string(&big).unwrap();
+        assert_eq!(from_str::<String>(&text).unwrap(), big);
+        let doc = Value::Map(vec![("k".into(), Value::Str(big.clone()))]);
+        assert_eq!(parse(&to_string(&doc).unwrap()).unwrap(), doc);
     }
 }

@@ -175,12 +175,62 @@ pub struct FleetSim {
 /// production diurnal load.
 const PHASE_LEVELS: [f64; 3] = [0.25, 0.5, 1.0];
 
-/// Spawn threshold for the batched fleet path: a shard must carry at least
+/// Spawn threshold for the batched fleet paths: a shard must carry at least
 /// this many machines before it earns its own thread. A steady-state tick
 /// over memo-warm machines costs well under a microsecond per machine, so
 /// below roughly this many machines per shard the per-tick spawn/join of
 /// `std::thread::scope` costs more than the shard saves.
 const MIN_MACHINES_PER_SHARD: usize = 2048;
+
+/// Steps `machines` into `reports` (one slot per machine) through
+/// persistent per-shard [`HostBatch`] workers — the one sharding policy of
+/// [`FleetSim::step_batched_into`] and
+/// [`crate::ResilientFleet::tick_batched`]. `jobs` is a ceiling, not a
+/// mandate: every shard must clear [`MIN_MACHINES_PER_SHARD`], so a small
+/// fleet runs single-shard with zero thread machinery. Shard assignment is
+/// deterministic in fleet size alone, and the batch path is bit-identical
+/// to serial stepping for any shard count.
+pub(crate) fn step_batched_sharded(
+    workers: &mut Vec<HostBatch>,
+    machines: &mut [HostMachine],
+    reports: &mut [MachineReport],
+    jobs: usize,
+) {
+    let shards = jobs
+        .min(machines.len().div_ceil(MIN_MACHINES_PER_SHARD))
+        .max(1);
+    step_shards(workers, machines, reports, shards);
+}
+
+/// [`step_batched_sharded`] at an explicit shard count: contiguous chunks,
+/// one scoped thread per shard when there is more than one.
+fn step_shards(
+    workers: &mut Vec<HostBatch>,
+    machines: &mut [HostMachine],
+    reports: &mut [MachineReport],
+    shards: usize,
+) {
+    if machines.is_empty() {
+        return;
+    }
+    if workers.len() < shards {
+        workers.resize_with(shards, HostBatch::new);
+    }
+    if shards == 1 {
+        workers[0].step_into(machines, reports);
+        return;
+    }
+    let chunk = machines.len().div_ceil(shards);
+    std::thread::scope(|scope| {
+        for ((mchunk, ochunk), worker) in machines
+            .chunks_mut(chunk)
+            .zip(reports.chunks_mut(chunk))
+            .zip(workers.iter_mut())
+        {
+            scope.spawn(move || worker.step_into(mchunk, ochunk));
+        }
+    });
+}
 
 impl FleetSim {
     /// Builds a fleet: per machine one high-priority ML task (4 cores on
@@ -291,36 +341,11 @@ impl FleetSim {
     /// shard's persistent [`HostBatch`] is reused across ticks.
     pub fn step_batched_into(&mut self, jobs: usize, out: &mut Vec<MachineReport>) {
         let n = self.machines.len();
-        if n == 0 {
-            out.clear();
-            return;
-        }
         if out.len() != n {
             out.clear();
             out.resize_with(n, MachineReport::empty);
         }
-        let shards = jobs
-            .clamp(1, n)
-            .min(n.div_ceil(MIN_MACHINES_PER_SHARD))
-            .max(1);
-        if self.workers.len() < shards {
-            self.workers.resize_with(shards, HostBatch::new);
-        }
-        let chunk = n.div_ceil(shards);
-        if shards == 1 {
-            self.workers[0].step_into(&self.machines, out);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for ((mchunk, ochunk), worker) in self
-                .machines
-                .chunks_mut(chunk)
-                .zip(out.chunks_mut(chunk))
-                .zip(self.workers.iter_mut())
-            {
-                scope.spawn(move || worker.step_into(mchunk, ochunk));
-            }
-        });
+        step_batched_sharded(&mut self.workers, &mut self.machines, out, jobs);
     }
 
     /// Aggregate batch-path counters over all worker slots (saturating).
@@ -415,6 +440,43 @@ mod tests {
         assert_eq!(a, b);
         let c = FleetModel::default().simulate(10);
         assert_ne!(a, c);
+    }
+
+    fn small_sim() -> FleetSim {
+        FleetSim::new(FleetSimConfig {
+            machines: 7,
+            churn_probability: 0.35,
+            ..FleetSimConfig::default()
+        })
+    }
+
+    #[test]
+    fn small_fleets_step_single_shard_at_any_jobs() {
+        let mut sim = small_sim();
+        let mut out = Vec::new();
+        sim.step_batched_into(8, &mut out);
+        assert_eq!(out.len(), 7);
+        assert_eq!(sim.workers.len(), 1, "7 machines must not shard");
+    }
+
+    #[test]
+    fn threaded_shards_match_serial_stepping() {
+        // Below the spawn threshold the public paths never thread, so drive
+        // the shard stepper at explicit counts to pin its threaded branch.
+        for shards in [2, 3, 7] {
+            let mut serial = small_sim();
+            let mut sharded = small_sim();
+            let mut workers = Vec::new();
+            let mut out = vec![MachineReport::empty(); 7];
+            for tick in 0..4 {
+                serial.churn();
+                sharded.churn();
+                let reference = serial.step_serial();
+                step_shards(&mut workers, &mut sharded.machines, &mut out, shards);
+                assert_eq!(out, reference, "{shards} shards diverged @ {tick}");
+            }
+            assert_eq!(workers.len(), shards);
+        }
     }
 
     #[test]

@@ -385,10 +385,25 @@ impl ResilientFleet {
     }
 
     /// One tick through the batched SoA path: identical control flow, with
-    /// machines sharded into `jobs` contiguous chunks each stepped by a
-    /// persistent [`HostBatch`] (own thread when `jobs > 1`). Bit-identical
-    /// to [`ResilientFleet::tick_serial`] on the same fleet state for any
+    /// machines sharded into at most `jobs` contiguous chunks each stepped
+    /// by a persistent [`HostBatch`]. Bit-identical to
+    /// [`ResilientFleet::tick_serial`] on the same fleet state for any
     /// `jobs`, including crash and restart ticks.
+    ///
+    /// The tick runs in three phases:
+    ///
+    /// 1. faults and control (lifecycle transitions, the self-healing
+    ///    placer's drain/throttle/backfill, placement retries);
+    /// 2. the machine step, into a report buffer reused across ticks;
+    /// 3. observation: run metrics and the report-driven distress
+    ///    detector that feeds the next tick's control phase.
+    ///
+    /// `jobs` is a ceiling, not a mandate. Shards are clamped exactly as
+    /// [`crate::FleetSim::step_batched_into`] clamps them: a shard gets its
+    /// own thread only when it carries enough machines to pay for a scoped
+    /// spawn and join on every tick. Fleets below that size step inline on
+    /// one persistent worker, so a small fleet at `jobs = 8` costs no more
+    /// per tick than at `jobs = 1`.
     pub fn tick_batched(&mut self, jobs: usize) -> Vec<MachineReport> {
         self.begin_tick();
         let n = self.machines.len();
@@ -396,27 +411,12 @@ impl ResilientFleet {
             self.reports_buf.clear();
             self.reports_buf.resize_with(n, MachineReport::empty);
         }
-        let jobs = jobs.clamp(1, n.max(1));
-        if self.workers.len() < jobs {
-            self.workers.resize_with(jobs, HostBatch::new);
-        }
-        if n > 0 {
-            let chunk = n.div_ceil(jobs);
-            if jobs == 1 {
-                self.workers[0].step_into(&self.machines, &mut self.reports_buf);
-            } else {
-                std::thread::scope(|scope| {
-                    for ((mchunk, ochunk), worker) in self
-                        .machines
-                        .chunks_mut(chunk)
-                        .zip(self.reports_buf.chunks_mut(chunk))
-                        .zip(self.workers.iter_mut())
-                    {
-                        scope.spawn(move || worker.step_into(mchunk, ochunk));
-                    }
-                });
-            }
-        }
+        crate::fleet::step_batched_sharded(
+            &mut self.workers,
+            &mut self.machines,
+            &mut self.reports_buf,
+            jobs,
+        );
         let reports = self.reports_buf.clone();
         self.observe(&reports);
         reports
@@ -759,6 +759,15 @@ mod tests {
             a.metrics().fault_onsets > 0,
             "the config must actually inject faults"
         );
+    }
+
+    #[test]
+    fn small_fleets_tick_single_shard_at_any_jobs() {
+        let mut fleet = ResilientFleet::new(crash_config());
+        for _ in 0..4 {
+            fleet.tick_batched(8);
+        }
+        assert_eq!(fleet.workers.len(), 1, "12 machines must not shard");
     }
 
     #[test]

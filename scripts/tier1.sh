@@ -6,8 +6,18 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+# Every crate's suites, not just the root package's. The passed count is
+# summed from the `test result:` lines so a silent drop in what runs shows.
+test_log="$(mktemp)"
+cargo test -q --workspace 2>&1 | tee "$test_log"
+tests_passed="$(sed -n 's/^test result: .*[^0-9]\([0-9][0-9]*\) passed;.*/\1/p' "$test_log" | awk '{n += $1} END {print n + 0}')"
+rm -f "$test_log"
+echo "workspace tests passed: ${tests_passed}"
+if (( tests_passed == 0 )); then
+  echo "tier-1 FAIL: cargo test ran no tests" >&2
+  exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -52,8 +62,8 @@ fi
 echo "== solver identity tests =="
 # The hot-path determinism contract: scratch reuse and memoization must be
 # bit-identical to fresh solves (tests/solver_hot.rs). Always runs, even
-# though `cargo test -q` above covers it, so a partial invocation of this
-# script section still gates the contract.
+# though `cargo test -q --workspace` above covers it, so a partial
+# invocation of this script section still gates the contract.
 cargo test -q --release --test solver_hot
 
 echo "== fault-matrix smoke (KELP_QUICK=1) =="
