@@ -31,7 +31,7 @@ struct FleetFaultsReport {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // kelp-lint: allow(KL-T01): KELP_QUICK/--quick is the documented smoke-scale knob; it sizes the fleet, and scale-dependent stats are the measurement itself.
+    // KELP_QUICK/--quick is the documented smoke-scale knob: it sizes the fleet.
     let quick = args.iter().any(|a| a == "--quick")
         || std::env::var("KELP_QUICK")
             .map(|v| v == "1")

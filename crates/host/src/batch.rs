@@ -1,7 +1,7 @@
 //! Fleet batch stepping (ISSUE 6): many [`HostMachine`]s per solver call.
 //!
-//! [`HostBatch::step`] advances a slice of machines one tick through three
-//! phases:
+//! [`HostBatch::step_into`] advances a slice of machines one tick through
+//! three phases:
 //!
 //! 1. **Adaptive skip** — a machine whose configuration is unchanged since
 //!    its last step (clean [`HostMachine::is_dirty`], memoization on)
@@ -29,7 +29,7 @@ use kelp_mem::solver::{SolverInput, SolverScratch};
 /// fleet-scale campaigns cannot overflow them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostBatchStats {
-    /// Machines stepped (one per machine per [`HostBatch::step`] call).
+    /// Machines stepped (one per machine per [`HostBatch::step_into`] call).
     pub machines_stepped: u64,
     /// Steps served by the adaptive skip (clean machine, no lowering).
     pub adaptive_skips: u64,
@@ -42,8 +42,8 @@ pub struct HostBatchStats {
     /// Steps answered with the safe-state report because the machine was
     /// `Down`/`Recovering` (the lifecycle fast path, before any lowering).
     pub down_steps: u64,
-    /// Batched lanes that fell back to the scalar rescue or safe-state
-    /// ladder after a diverged or non-finite solve (lane isolation).
+    /// Batched lanes that fell back to the rescue or safe-state ladder
+    /// after a diverged or non-finite solve (lane isolation).
     pub lane_fallbacks: u64,
 }
 
@@ -73,22 +73,11 @@ impl HostBatch {
         self.stats = HostBatchStats::default();
     }
 
-    /// Steps every machine one tick, returning one report per machine in
-    /// order. Bit-identical to calling [`HostMachine::solve`] on each
-    /// machine serially. Allocates the report vector; steady-state callers
-    /// should reuse one through [`HostBatch::step_into`].
-    pub fn step(&mut self, machines: &[HostMachine]) -> Vec<MachineReport> {
-        let mut reports: Vec<MachineReport> = (0..machines.len())
-            .map(|_| MachineReport::empty())
-            .collect();
-        self.step_into(machines, &mut reports);
-        reports
-    }
-
     /// Steps every machine one tick, refreshing `reports` in place (one
     /// slot per machine, same order). Every slot is fully overwritten;
     /// slots from a previous tick of the same fleet make the adaptive-skip
-    /// refresh allocation-free. Bit-identical to [`HostBatch::step`].
+    /// refresh allocation-free. Bit-identical to calling
+    /// [`HostMachine::solve`] on each machine serially.
     ///
     /// # Panics
     ///
@@ -221,8 +210,9 @@ mod tests {
         let batch_fleet = fleet(6);
         let serial_fleet = fleet(6);
         let mut batch = HostBatch::new();
+        let mut batched: Vec<MachineReport> = (0..6).map(|_| MachineReport::empty()).collect();
         for tick in 0..3 {
-            let batched = batch.step(&batch_fleet);
+            batch.step_into(&batch_fleet, &mut batched);
             let serial: Vec<MachineReport> = serial_fleet.iter().map(|m| m.solve()).collect();
             assert_eq!(batched, serial, "tick {tick} diverged");
         }
@@ -241,7 +231,7 @@ mod tests {
     #[test]
     fn empty_fleet_step_is_noop() {
         let mut batch = HostBatch::new();
-        assert!(batch.step(&[]).is_empty());
+        batch.step_into(&[], &mut []);
         assert_eq!(batch.stats(), HostBatchStats::default());
     }
 }

@@ -937,7 +937,7 @@ impl HostMachine {
 
 /// Relative residual above which a non-converged solve counts as
 /// *diverged* rather than merely truncated. The fixed-point tolerance is
-/// 1e-4, and heavily contended experiment mixes routinely exhaust the
+/// 5e-4, and heavily contended experiment mixes routinely exhaust the
 /// budget with residuals up to a few 1e-2 while their damped estimates
 /// remain usable — those ship as before (counted in
 /// [`kelp_mem::solver::SolveStats::non_converged`], but not sick). An

@@ -1,21 +1,23 @@
-//! Batched structure-of-arrays solve path (ISSUE 6).
+//! The batched structure-of-arrays solve: the one way a memory solve is
+//! computed.
 //!
 //! [`BatchSolver`] packs N machines' per-solve tables into shared flat
 //! arenas — one [`super::solver::MemSystem`]-derived table set, one lane
 //! arena holding every lane's precompute back to back, one contiguous rate
 //! buffer — and drives all N fixed points through
 //! [`kelp_simcore::fixedpoint::solve_fixed_point_batch_into`], with
-//! converged lanes dropping out of the iteration.
+//! converged lanes dropping out of the iteration. A single solve
+//! ([`MemSystem::solve_with`], [`MemSystem::solve_rescue`]) is a one-lane
+//! batch through the arena its [`SolverScratch`] carries.
 //!
-//! The determinism contract mirrors PR 4's scratch-reuse contract: lane `l`
-//! of [`MemSystem::solve_batch_with`] is **bit-identical** to calling
-//! [`MemSystem::solve_with`] serially on machine `l`'s own
-//! [`SolverScratch`], including warm-start behavior — the per-machine warm
-//! state stays in each machine's scratch, and each lane's evaluation runs
-//! the exact same [`solver::LaneView`]-based arithmetic as the scalar path
-//! over the lane's slice of the arena.
+//! Lanes never interact: lane `l` of [`MemSystem::solve_batch_with`] is
+//! **bit-identical** to [`MemSystem::solve_with`] on machine `l`'s own
+//! scratch, including warm-start behavior — the per-machine warm state
+//! stays in each machine's scratch, and each lane is evaluated through a
+//! [`solver::LaneView`] of its own slice of the arena, with lane-local
+//! indices.
 
-use kelp_simcore::fixedpoint::{solve_fixed_point_batch_into, FixedPointStats};
+use kelp_simcore::fixedpoint::{solve_fixed_point_batch_into, FixedPointConfig, FixedPointStats};
 
 use crate::solver::{
     DomainTables, EvalBufs, LaneTables, LaneView, MemSystem, SolveOutcome, SolverInput,
@@ -24,7 +26,7 @@ use crate::solver::{
 
 /// One lane's ranges into the [`BatchSolver`] arenas. All table indices the
 /// lane stores are lane-local, so subslicing by these ranges yields a view
-/// identical to the lane's own scalar scratch.
+/// that does not depend on the lane's position in the batch.
 #[derive(Debug, Clone, Copy, Default)]
 struct LaneRange {
     task_start: usize,
@@ -44,13 +46,14 @@ struct LaneRange {
 
 /// Reusable arena workspace for [`MemSystem::solve_batch_with`].
 ///
-/// One `BatchSolver` per worker thread amortizes all batch-path allocation:
-/// the shared domain tables, the flat lane arena, the contiguous rate
-/// buffer, the active-lane mask and the per-iteration evaluation buffers
-/// are all reused across calls. The evaluation buffers are safely shared
-/// across lanes because lanes are evaluated serially and every buffer is
-/// cleared or fully overwritten at the start of the evaluation that reads
-/// it.
+/// One `BatchSolver` per worker thread (and one inside every
+/// [`SolverScratch`], for its one-lane solves) amortizes all solve
+/// allocation: the shared domain tables, the flat lane arena, the
+/// contiguous rate buffer, the active-lane mask and the per-iteration
+/// evaluation buffers are all reused across calls. The evaluation buffers
+/// are safely shared across lanes because lanes are evaluated serially and
+/// every buffer is cleared or fully overwritten at the start of the
+/// evaluation that reads it.
 #[derive(Debug, Clone, Default)]
 pub struct BatchSolver {
     shared: DomainTables,
@@ -83,10 +86,9 @@ impl MemSystem {
     /// one [`SolverOutput`] per lane (in input order) to `outputs`.
     ///
     /// `lanes[l]` is machine `l`'s own [`SolverScratch`]; only its
-    /// warm-start state is consulted and updated, so a machine can move
-    /// freely between the scalar and batched paths between ticks. Every
-    /// lane's result is bit-identical to a serial
-    /// [`MemSystem::solve_with`] call against the same scratch.
+    /// warm-start state is consulted and updated. Every lane's result is
+    /// bit-identical to a [`MemSystem::solve_with`] call (a one-lane batch)
+    /// against the same scratch.
     ///
     /// # Panics
     ///
@@ -103,20 +105,30 @@ impl MemSystem {
             lanes.len(),
             "one scratch per batched solver input"
         );
-        let n_lanes = inputs.len();
-        if n_lanes == 0 {
-            return;
+        self.drive_lanes(inputs, lanes, batch, self.fp_config());
+        outputs.reserve(inputs.len());
+        for (l, (input, lane)) in inputs.iter().zip(lanes.iter_mut()).enumerate() {
+            outputs.push(self.finish_lane(l, input, batch, lane));
         }
+    }
 
+    /// Packs every input's tables into `batch`'s flat arenas, seeds each
+    /// lane from its scratch's warm state (when warm starts are on and the
+    /// task-vector shape matches), and drives all lanes' fixed points under
+    /// `config`. `lanes[l]` is only read.
+    pub(crate) fn drive_lanes(
+        &self,
+        inputs: &[&SolverInput],
+        lanes: &[&mut SolverScratch],
+        batch: &mut BatchSolver,
+        config: FixedPointConfig,
+    ) {
         self.build_domain_tables(&mut batch.shared);
-        let n_domains = batch.shared.domains.len();
-
-        // --- Pack every lane's tables into the flat arenas ----------------
         batch.lane.clear();
         batch.ranges.clear();
         batch.rates.clear();
         batch.lane_ends.clear();
-        for (l, input) in inputs.iter().enumerate() {
+        for (input, scratch) in inputs.iter().zip(lanes) {
             let task_start = batch.lane.task_pre.len();
             let data_start = batch.lane.data_pre.len();
             let member_start = batch.lane.member_start.len();
@@ -131,16 +143,15 @@ impl MemSystem {
                 &mut batch.rates,
             );
 
-            // Warm start exactly as the scalar path: replace the zero-load
-            // initial guess with this machine's previous converged rates
-            // when the task-vector shape matches.
+            // Warm start: replace the zero-load initial guess with this
+            // machine's previous converged rates. Only the starting point
+            // moves; the map and tolerance are untouched.
             let n_tasks = input.tasks.len();
-            let seed = if self.warm_start_enabled() && n_tasks > 0 {
-                lanes[l].warm_seed().filter(|p| p.len() == n_tasks)
+            let seed = if self.warm_start() && n_tasks > 0 {
+                scratch.warm_seed().filter(|p| p.len() == n_tasks)
             } else {
                 None
             };
-            let warm = seed.is_some();
             if let Some(seed) = seed {
                 batch.rates[rate_start..].copy_from_slice(seed);
             }
@@ -154,17 +165,18 @@ impl MemSystem {
                 idx_start,
                 flow_start,
                 flow_end: batch.lane.flows.len(),
-                warm,
+                warm: seed.is_some(),
             });
             batch.lane_ends.push(batch.rates.len());
         }
 
+        let n_lanes = batch.ranges.len();
         batch.active.clear();
         batch.active.resize(n_lanes, true);
         batch.fp_stats.clear();
         batch.fp_stats.resize(n_lanes, FixedPointStats::default());
 
-        // --- Drive all fixed points over the one contiguous rate buffer ---
+        let n_domains = batch.shared.domains.len();
         let BatchSolver {
             shared,
             lane,
@@ -188,28 +200,37 @@ impl MemSystem {
                 self.eval_lean_view(x, inputs[l], shared, &mut view, bufs);
                 out.extend_from_slice(&bufs.next_rates);
             },
-            self.fp_config(),
+            config,
         );
+    }
 
-        // --- One final full evaluation per lane at its converged rates ----
-        outputs.reserve(n_lanes);
-        for (l, input) in inputs.iter().enumerate() {
-            let rate_start = if l == 0 { 0 } else { lane_ends[l - 1] };
-            let lane_rates = &rates[rate_start..lane_ends[l]];
-            let mut view = lane_view(lane, &ranges[l], n_domains);
-            outputs.push(self.eval_full_view(
-                lane_rates,
-                input,
-                shared,
-                &mut view,
-                bufs,
-                SolveOutcome {
-                    fp: fp_stats[l],
-                    warm: ranges[l].warm,
-                },
-            ));
-            lanes[l].store_warm(lane_rates);
-        }
+    /// The final full evaluation of driven lane `l` at its fixed-point
+    /// rates, storing those rates in `scratch` as the lane's next warm
+    /// seed.
+    pub(crate) fn finish_lane(
+        &self,
+        l: usize,
+        input: &SolverInput,
+        batch: &mut BatchSolver,
+        scratch: &mut SolverScratch,
+    ) -> SolverOutput {
+        let n_domains = batch.shared.domains.len();
+        let rate_start = if l == 0 { 0 } else { batch.lane_ends[l - 1] };
+        let lane_rates = &batch.rates[rate_start..batch.lane_ends[l]];
+        let range = &batch.ranges[l];
+        let output = self.eval_full_view(
+            lane_rates,
+            input,
+            &batch.shared,
+            &mut lane_view(&mut batch.lane, range, n_domains),
+            &mut batch.bufs,
+            SolveOutcome {
+                fp: batch.fp_stats[l],
+                warm: range.warm,
+            },
+        );
+        scratch.store_warm(lane_rates);
+        output
     }
 }
 

@@ -14,13 +14,16 @@
 //! achieved rates, consumed bandwidth, effective latencies and the counter
 //! snapshot the Kelp runtime samples.
 //!
-//! The hot path is built around a reusable [`SolverScratch`]: every
-//! per-solve table (domain indices, capacities, LLC models, per-task
-//! invariants, the flow template) is computed once per [`MemSystem::solve_with`]
-//! call, and the fixed-point loop itself reuses flat buffers so iterating
-//! allocates nothing. The full output — counters, per-task results — is
-//! built exactly once after convergence.
+//! Every solve is a batch of lanes driven by the one fixed-point driver (see
+//! [`crate::batch`]); a single [`MemSystem::solve_with`] is a one-lane batch
+//! through the arena a reusable [`SolverScratch`] carries. Every per-solve
+//! table (domain indices, capacities, LLC models, per-task invariants, the
+//! flow template) is computed once per solve, and the fixed-point loop
+//! itself reuses flat buffers so iterating allocates nothing. The full
+//! output — counters, per-task results — is built exactly once after
+//! convergence.
 
+use crate::batch::BatchSolver;
 use crate::counters::{DomainCounters, MemCounters, SocketCounters};
 use crate::distress::{DistressModel, DistressScope};
 use crate::latency::LatencyCurve;
@@ -28,7 +31,7 @@ use crate::llc::{CacheClass, CacheShare, CacheTask, CatAllocation, LlcModel};
 use crate::maxmin::{self, AllocScratch, Flow};
 use crate::prefetch::{self, PrefetchEffect, PrefetchProfile, PrefetchSetting};
 use crate::topology::{DomainId, MachineSpec, SncMode, SocketId};
-use kelp_simcore::fixedpoint::{solve_fixed_point_into, FixedPointConfig, FixedPointStats};
+use kelp_simcore::fixedpoint::{FixedPointConfig, FixedPointStats};
 use serde::{Deserialize, Serialize};
 
 /// Caller-assigned identifier for a solver task, echoed back in the output.
@@ -274,7 +277,7 @@ pub(crate) struct TaskPre {
     home_index: usize,
     /// Socket index of the canonical home.
     home_socket: usize,
-    /// Range into [`SolverScratch::data_pre`] for this task's placements.
+    /// Lane-local range into the lane's data placements for this task.
     data_start: usize,
     data_end: usize,
     /// Sum of the positive placement fractions.
@@ -309,29 +312,21 @@ pub(crate) struct FlowRef {
     frac: f64,
 }
 
-/// Reusable workspace for [`MemSystem::solve_with`].
+/// One machine's solver state: the previous solve's converged rates for
+/// warm starts (see [`MemSystem::set_warm_start`] for the determinism
+/// contract), and the [`BatchSolver`] arena [`MemSystem::solve_with`]
+/// drives its one lane through.
 ///
-/// Holds the per-solve tables (rebuilt by every call) and the per-iteration
-/// buffers (resized in place), so a caller that solves repeatedly — the host
-/// runs one solve per simulated tick — amortizes all hot-path allocation
-/// into the first call. Also carries the previous solve's converged rates
-/// for warm starts; see [`MemSystem::set_warm_start`] for the determinism
-/// contract.
+/// The arena's tables are rebuilt and its buffers resized in place by
+/// every solve, so a caller that solves repeatedly — the host runs one
+/// solve per simulated tick — amortizes all hot-path allocation into the
+/// first call. The batched path ([`MemSystem::solve_batch_with`]) uses a
+/// shared arena instead and touches only the warm-start state, so the
+/// arena is boxed on the first [`MemSystem::solve_with`]: a machine that
+/// is only ever batched carries no arena, which keeps fleets compact.
 #[derive(Debug, Clone, Default)]
 pub struct SolverScratch {
-    /// System-derived tables (identical for every solve against one
-    /// [`MemSystem`]).
-    pub(crate) shared: DomainTables,
-    /// Input-derived tables for the one lane this scratch solves.
-    pub(crate) lane: LaneTables,
-    /// Counting-sort cursor for membership construction.
-    pub(crate) member_cursor: Vec<usize>,
-    /// Per-iteration evaluation buffers.
-    pub(crate) bufs: EvalBufs,
-    /// Current rate vector (the fixed-point state).
-    pub(crate) rates: Vec<f64>,
-    /// Scratch for the fixed-point map image.
-    pub(crate) fx: Vec<f64>,
+    arena: Option<Box<BatchSolver>>,
     // Warm-start state.
     prev_rates: Vec<f64>,
     has_prev: bool,
@@ -377,9 +372,9 @@ pub(crate) struct DomainTables {
 
 /// Input-derived per-solve tables, appended lane by lane with *lane-local*
 /// indices: `TaskPre::data_start`, membership slots, `FlowRef::task` /
-/// `FlowRef::fixed` all index within their own lane's ranges. A scalar
-/// scratch holds exactly one lane; the batch arena appends many lanes back
-/// to back into the same flat vectors (structure-of-arrays packing).
+/// `FlowRef::fixed` all index within their own lane's ranges. The batch
+/// arena appends its lanes back to back into the same flat vectors
+/// (structure-of-arrays packing).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneTables {
     /// Per lane: `n_domains + 1` prefix-sum entries (lane-local slots).
@@ -401,19 +396,6 @@ impl LaneTables {
         self.data_pre.clear();
         self.flows.clear();
         self.flow_refs.clear();
-    }
-
-    /// A view over the whole buffers — correct when the tables hold exactly
-    /// one lane (the scalar scratch case).
-    pub(crate) fn view(&mut self) -> LaneView<'_> {
-        LaneView {
-            task_pre: &self.task_pre,
-            data_pre: &self.data_pre,
-            member_start: &self.member_start,
-            member_idx: &self.member_idx,
-            flows: &mut self.flows,
-            flow_refs: &self.flow_refs,
-        }
     }
 }
 
@@ -445,9 +427,9 @@ pub(crate) struct EvalBufs {
 }
 
 /// Borrowed view of one lane's tables during evaluation: subslices of a
-/// scalar scratch (the whole buffers) or of a batch arena (one lane's
-/// ranges). All indices inside are lane-local, so the evaluation code is
-/// byte-for-byte the same arithmetic either way.
+/// batch arena by the lane's ranges. All indices inside are lane-local, so
+/// the evaluation is the same arithmetic wherever the lane sits in the
+/// arena.
 pub(crate) struct LaneView<'a> {
     pub(crate) task_pre: &'a [TaskPre],
     pub(crate) data_pre: &'a [DataPre],
@@ -722,9 +704,8 @@ impl MemSystem {
         }
     }
 
-    /// The fixed-point configuration this system solves under (shared with
-    /// the batch path so both drive identical iteration arithmetic), with
-    /// any active solver stress applied to the iteration budget.
+    /// The fixed-point configuration every primary solve is driven under,
+    /// with any active solver stress applied to the iteration budget.
     pub(crate) fn fp_config(&self) -> FixedPointConfig {
         let mut config = self.fp_config;
         if let Some(s) = self.solver_stress {
@@ -760,17 +741,15 @@ impl MemSystem {
         }
     }
 
-    /// Re-solves `input` cold under [`MemSystem::rescue_config`]: a fresh
-    /// scratch (no warm seed) and a private rate buffer, so the rescue is a
-    /// pure function of `(system, input)` — identical no matter which path
-    /// (scalar or batched) triggered it.
+    /// Re-solves `input` cold under [`MemSystem::rescue_config`]: a
+    /// one-lane batch on a fresh scratch (no warm seed), so the rescue is a
+    /// pure function of `(system, input)` — identical no matter which
+    /// caller, single or batched, triggered it.
     pub fn solve_rescue(&self, input: &SolverInput) -> SolverOutput {
-        self.solve_with_config(input, &mut SolverScratch::default(), self.rescue_config())
-    }
-
-    /// Whether warm starts are enabled (see [`MemSystem::set_warm_start`]).
-    pub(crate) fn warm_start_enabled(&self) -> bool {
-        self.warm_start
+        let mut scratch = SolverScratch::default();
+        let mut arena = BatchSolver::default();
+        self.drive_lanes(&[input], &[&mut scratch], &mut arena, self.rescue_config());
+        self.finish_lane(0, input, &mut arena, &mut scratch)
     }
 
     /// Solves the memory system for one step with a private scratch.
@@ -782,8 +761,9 @@ impl MemSystem {
         self.solve_with(input, &mut SolverScratch::default())
     }
 
-    /// Solves the memory system for one step, reusing `scratch` for every
-    /// intermediate table and buffer.
+    /// Solves the memory system for one step as a one-lane batch through
+    /// `scratch`'s arena, reusing it for every intermediate table and
+    /// buffer.
     ///
     /// The first call on a scratch allocates its buffers; subsequent calls
     /// reuse them, leaving the fixed-point loop allocation-free. Results
@@ -791,79 +771,11 @@ impl MemSystem {
     /// enabled (the default) *and* the scratch carries converged rates from
     /// a previous call — see [`MemSystem::set_warm_start`].
     pub fn solve_with(&self, input: &SolverInput, scratch: &mut SolverScratch) -> SolverOutput {
-        self.solve_with_config(input, scratch, self.fp_config())
-    }
-
-    /// [`MemSystem::solve_with`] under an explicit fixed-point
-    /// configuration (the rescue ladder's entry point).
-    fn solve_with_config(
-        &self,
-        input: &SolverInput,
-        scratch: &mut SolverScratch,
-        config: FixedPointConfig,
-    ) -> SolverOutput {
-        self.prepare(input, scratch);
-
-        // Warm start: replace the zero-load initial guess with the previous
-        // call's converged rates when the task-vector shape matches. Only
-        // the starting point moves; the map and tolerance are untouched.
-        let n_tasks = input.tasks.len();
-        let warm = self.warm_start
-            && scratch.has_prev
-            && scratch.prev_rates.len() == n_tasks
-            && n_tasks > 0;
-        if warm {
-            scratch.rates.clear();
-            scratch.rates.extend_from_slice(&scratch.prev_rates);
-        }
-
-        let mut rates = std::mem::take(&mut scratch.rates);
-        let mut fx = std::mem::take(&mut scratch.fx);
-        let output = {
-            let SolverScratch {
-                shared, lane, bufs, ..
-            } = &mut *scratch;
-            let fp = solve_fixed_point_into(
-                &mut rates,
-                &mut fx,
-                |x, out| {
-                    self.eval_lean_view(x, input, shared, &mut lane.view(), bufs);
-                    out.extend_from_slice(&bufs.next_rates);
-                },
-                config,
-            );
-
-            // One final full evaluation at the converged rates.
-            self.eval_full_view(
-                &rates,
-                input,
-                shared,
-                &mut lane.view(),
-                bufs,
-                SolveOutcome { fp, warm },
-            )
-        };
-
-        scratch.store_warm(&rates);
-        scratch.rates = rates;
-        scratch.fx = fx;
+        let mut arena = scratch.arena.take().unwrap_or_default();
+        self.drive_lanes(&[input], &[&mut *scratch], &mut arena, self.fp_config());
+        let output = self.finish_lane(0, input, &mut arena, scratch);
+        scratch.arena = Some(arena);
         output
-    }
-
-    /// Rebuilds the per-solve tables in `s` — the system-derived
-    /// [`DomainTables`] plus one freshly-appended lane — validating the
-    /// input and seeding `s.rates` with the zero-load initial guess.
-    fn prepare(&self, input: &SolverInput, s: &mut SolverScratch) {
-        self.build_domain_tables(&mut s.shared);
-        s.lane.clear();
-        s.rates.clear();
-        self.append_lane(
-            input,
-            &s.shared,
-            &mut s.lane,
-            &mut s.member_cursor,
-            &mut s.rates,
-        );
     }
 
     /// Rebuilds the tables that depend only on this system's configuration:
@@ -916,9 +828,8 @@ impl MemSystem {
     /// Validates `input` and appends one lane's tables — per-task
     /// invariants, flattened data placements, per-domain membership, the
     /// flow template — to `lane`, pushing the lane's zero-load initial
-    /// rates onto `rates`. Every stored index is lane-local, so the scalar
-    /// scratch (which clears first) and the batch arena (which appends lane
-    /// after lane) produce identical per-lane table contents.
+    /// rates onto `rates`. Every stored index is lane-local, so a lane's
+    /// table contents do not depend on where in the arena it lands.
     pub(crate) fn append_lane(
         &self,
         input: &SolverInput,
@@ -1096,10 +1007,8 @@ impl MemSystem {
     /// demands, the max-min allocation and latencies at `rates`, leaving
     /// `bufs.next_rates` as the fixed-point image. Everything lives in
     /// reused buffers, so a warmed-up solve iterates without allocating.
-    /// The arithmetic is order-identical to the pre-split `evaluate`, so
-    /// iterates are bit-for-bit unchanged — and because `lane` is a borrowed
-    /// view with lane-local indices, the scalar path (whole scratch) and the
-    /// batch path (one arena lane) run the exact same code.
+    /// `lane` is a borrowed view with lane-local indices, so a lane's
+    /// iterates are the same whether it is solved alone or in a batch.
     pub(crate) fn eval_lean_view(
         &self,
         rates: &[f64],
@@ -1451,8 +1360,9 @@ fn stressed_budget(base: usize, stress: Option<f64>) -> usize {
     }
 }
 
-/// Dense domain index of `d` via the table built in `prepare` (same
-/// clamping as [`MemSystem::canonical_domain`]).
+/// Dense domain index of `d` via the table built by
+/// [`MemSystem::build_domain_tables`] (same clamping as
+/// [`MemSystem::canonical_domain`]).
 fn lut_index(lut: &[usize], n_sockets: usize, d: DomainId) -> usize {
     let socket = d.socket.0.min(n_sockets.saturating_sub(1));
     lut[socket * 2 + d.sub.min(1) as usize]

@@ -4,9 +4,11 @@
 //! demand depends on latency (stalled threads issue slower) and latency
 //! depends on demand (loaded-latency curve). Each simulation step solves the
 //! coupled system by damped fixed-point iteration on a state vector. This
-//! module provides the generic solver with convergence/oscillation control.
+//! module provides the one driver, [`solve_fixed_point_batch_into`], with
+//! convergence/oscillation control: it solves any number of independent
+//! state vectors at once, and a single solve is a one-lane batch.
 
-/// Configuration for [`solve_fixed_point`].
+/// Configuration for [`solve_fixed_point_batch_into`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedPointConfig {
     /// Maximum number of iterations before giving up.
@@ -17,31 +19,8 @@ pub struct FixedPointConfig {
     pub damping: f64,
 }
 
-impl Default for FixedPointConfig {
-    fn default() -> Self {
-        FixedPointConfig {
-            max_iters: 60,
-            tolerance: 1e-4,
-            damping: 0.5,
-        }
-    }
-}
-
-/// Result of a fixed-point solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedPointOutcome {
-    /// The final state vector.
-    pub state: Vec<f64>,
-    /// Number of iterations performed.
-    pub iterations: usize,
-    /// Whether the tolerance was met within the iteration budget.
-    pub converged: bool,
-    /// Final relative residual (infinity norm).
-    pub residual: f64,
-}
-
-/// Result of an in-place fixed-point solve ([`solve_fixed_point_into`]); the
-/// state lives in the caller's buffer, so only the scalars are returned.
+/// One lane's result of [`solve_fixed_point_batch_into`]; the state lives in
+/// the caller's buffer, so only the scalars are returned.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FixedPointStats {
     /// Number of iterations performed.
@@ -50,65 +29,6 @@ pub struct FixedPointStats {
     pub converged: bool,
     /// Final relative residual (infinity norm).
     pub residual: f64,
-}
-
-/// Solves `x = f(x)` by damped iteration, in place and allocation-free.
-///
-/// `x` holds the initial state on entry and the final state on exit. `fx` is
-/// a caller-owned scratch buffer for the map's output; `f` must leave it with
-/// the same length as `x` (it is cleared before each call). The iteration
-/// itself performs no allocation — on a reused `fx` with sufficient capacity
-/// the whole solve is allocation-free. The arithmetic is identical to
-/// [`solve_fixed_point`], which delegates here, so the two produce
-/// bit-identical states for the same map.
-///
-/// # Panics
-///
-/// Panics if `f` leaves `fx` with a different length than `x`, or if the
-/// config's damping is outside `(0, 1]`.
-pub fn solve_fixed_point_into<F>(
-    x: &mut [f64],
-    fx: &mut Vec<f64>,
-    mut f: F,
-    config: FixedPointConfig,
-) -> FixedPointStats
-where
-    F: FnMut(&[f64], &mut Vec<f64>),
-{
-    assert!(
-        config.damping > 0.0 && config.damping <= 1.0,
-        "damping must be in (0, 1]"
-    );
-    let mut residual = f64::INFINITY;
-    for iter in 0..config.max_iters {
-        fx.clear();
-        f(x, fx);
-        assert_eq!(fx.len(), x.len(), "fixed-point map changed dimension");
-        debug_assert!(
-            fx.iter().all(|v| v.is_finite()),
-            "fixed-point map produced a non-finite rate"
-        );
-        let mut max_rel = 0.0f64;
-        for (xi, &fxi) in x.iter_mut().zip(fx.iter()) {
-            let next = (1.0 - config.damping) * *xi + config.damping * fxi;
-            let scale = xi.abs().max(1e-9);
-            max_rel = max_rel.max((next - *xi).abs() / scale);
-            *xi = next;
-        }
-        residual = max_rel;
-        if max_rel < config.tolerance {
-            return FixedPointStats {
-                iterations: iter + 1,
-                converged: true,
-                residual,
-            };
-        }
-    }
-    FixedPointStats {
-        iterations: config.max_iters,
-        converged: false,
-        residual,
-    }
 }
 
 /// Solves many independent fixed-point problems in one batched drive.
@@ -124,11 +44,10 @@ where
 /// mask). The drive ends when every lane has converged or the iteration
 /// budget is exhausted.
 ///
-/// Per lane the arithmetic — evaluation order, damped update, residual —
-/// is identical to [`solve_fixed_point_into`], so a batched lane is
-/// bit-for-bit the scalar solve of the same map, including its iteration
-/// count and residual. Empty lanes converge after one evaluation with a
-/// zero residual, exactly like an empty scalar solve.
+/// Lanes never interact: a lane's state, iteration count and residual are
+/// bit-for-bit what a plain damped loop over that lane alone produces, no
+/// matter which other lanes share the drive. Empty lanes converge after one
+/// evaluation with a zero residual.
 ///
 /// On entry `active[l]` selects the lanes to solve (callers normally set
 /// all true); on exit it is false for every converged lane. `stats[l]` is
@@ -203,7 +122,6 @@ where
                 fx.iter().all(|v| v.is_finite()),
                 "fixed-point map produced a non-finite rate in lane {l}"
             );
-            // Bit-identical to the scalar solve_fixed_point_into update.
             let mut max_rel = 0.0f64;
             for (xi, &fxi) in lane.iter_mut().zip(fx.iter()) {
                 let next = (1.0 - config.damping) * *xi + config.damping * fxi;
@@ -224,205 +142,162 @@ where
     converged_lanes
 }
 
-/// Solves `x = f(x)` by damped iteration from `initial`.
-///
-/// `f` maps a state vector to the next state vector of the same length. The
-/// iteration stops when the relative infinity-norm change falls below the
-/// tolerance or the budget is exhausted; either way the best state found is
-/// returned (the solver never panics on non-convergence — the memory model
-/// treats a non-converged step as "use the damped estimate", which is
-/// physically sensible for a fluid approximation).
-///
-/// # Panics
-///
-/// Panics if `f` returns a vector of a different length, or if the config's
-/// damping is outside `(0, 1]`.
-///
-/// # Example
-///
-/// ```
-/// use kelp_simcore::fixedpoint::{solve_fixed_point, FixedPointConfig};
-/// // x = cos(x) has a unique fixed point near 0.739.
-/// let out = solve_fixed_point(
-///     vec![0.0],
-///     |x| vec![x[0].cos()],
-///     FixedPointConfig::default(),
-/// );
-/// assert!(out.converged);
-/// assert!((out.state[0] - 0.7390851).abs() < 1e-3);
-/// ```
-pub fn solve_fixed_point<F>(
-    initial: Vec<f64>,
-    mut f: F,
-    config: FixedPointConfig,
-) -> FixedPointOutcome
-where
-    F: FnMut(&[f64]) -> Vec<f64>,
-{
-    let mut x = initial;
-    let mut fx = Vec::new();
-    let stats = solve_fixed_point_into(
-        &mut x,
-        &mut fx,
-        |x, out| out.extend_from_slice(&f(x)),
-        config,
-    );
-    FixedPointOutcome {
-        state: x,
-        iterations: stats.iterations,
-        converged: stats.converged,
-        residual: stats.residual,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn config(max_iters: usize, tolerance: f64, damping: f64) -> FixedPointConfig {
+        FixedPointConfig {
+            max_iters,
+            tolerance,
+            damping,
+        }
+    }
+
+    /// The reference the driver is checked against: a plain damped loop
+    /// over one state vector.
+    fn reference_solve<F>(x: &mut [f64], mut f: F, cfg: FixedPointConfig) -> FixedPointStats
+    where
+        F: FnMut(&[f64], &mut Vec<f64>),
+    {
+        let mut fx = Vec::new();
+        let mut stats = FixedPointStats {
+            iterations: 0,
+            converged: false,
+            residual: f64::INFINITY,
+        };
+        for iter in 0..cfg.max_iters {
+            fx.clear();
+            f(x, &mut fx);
+            let mut max_rel = 0.0f64;
+            for (xi, &fxi) in x.iter_mut().zip(&fx) {
+                let next = (1.0 - cfg.damping) * *xi + cfg.damping * fxi;
+                max_rel = max_rel.max((next - *xi).abs() / xi.abs().max(1e-9));
+                *xi = next;
+            }
+            stats = FixedPointStats {
+                iterations: iter + 1,
+                converged: max_rel < cfg.tolerance,
+                residual: max_rel,
+            };
+            if stats.converged {
+                break;
+            }
+        }
+        stats
+    }
+
+    /// Solves one state vector as a one-lane batch.
+    fn solve_one<F>(
+        initial: Vec<f64>,
+        mut f: F,
+        cfg: FixedPointConfig,
+    ) -> (Vec<f64>, FixedPointStats)
+    where
+        F: FnMut(&[f64]) -> Vec<f64>,
+    {
+        let mut x = initial;
+        let lane_ends = [x.len()];
+        let mut stats = [FixedPointStats::default()];
+        let mut fx = Vec::new();
+        solve_fixed_point_batch_into(
+            &mut x,
+            &lane_ends,
+            &mut [true],
+            &mut stats,
+            &mut fx,
+            |_, x, out| out.extend_from_slice(&f(x)),
+            cfg,
+        );
+        (x, stats[0])
+    }
+
     #[test]
     fn converges_on_contraction() {
         // x = 0.5x + 1 -> x = 2
-        let out = solve_fixed_point(
+        let (x, stats) = solve_one(
             vec![0.0],
             |x| vec![0.5 * x[0] + 1.0],
-            FixedPointConfig {
-                max_iters: 200,
-                tolerance: 1e-8,
-                damping: 1.0,
-            },
+            config(200, 1e-8, 1.0),
         );
-        assert!(out.converged);
-        assert!((out.state[0] - 2.0).abs() < 1e-6);
+        assert!(stats.converged);
+        assert!((x[0] - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn damping_tames_oscillation() {
         // x = 2 - x oscillates undamped (period 2) but converges to 1 damped.
-        let cfg = FixedPointConfig {
-            max_iters: 200,
-            tolerance: 1e-8,
-            damping: 0.5,
-        };
-        let out = solve_fixed_point(vec![0.0], |x| vec![2.0 - x[0]], cfg);
-        assert!(out.converged);
-        assert!((out.state[0] - 1.0).abs() < 1e-6);
+        let (x, stats) = solve_one(vec![0.0], |x| vec![2.0 - x[0]], config(200, 1e-8, 0.5));
+        assert!(stats.converged);
+        assert!((x[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn multidimensional_solve() {
         // x = 0.3y + 0.7, y = 0.3x + 0.7 -> x = y = 1
-        let out = solve_fixed_point(
+        let (x, stats) = solve_one(
             vec![0.0, 5.0],
             |v| vec![0.3 * v[1] + 0.7, 0.3 * v[0] + 0.7],
-            FixedPointConfig::default(),
+            config(60, 1e-4, 0.5),
         );
-        assert!(out.converged);
-        assert!((out.state[0] - 1.0).abs() < 1e-3);
-        assert!((out.state[1] - 1.0).abs() < 1e-3);
+        assert!(stats.converged);
+        assert!((x[0] - 1.0).abs() < 1e-3);
+        assert!((x[1] - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn reports_non_convergence() {
         // x = 2x diverges; solver must report rather than loop forever.
-        let out = solve_fixed_point(
-            vec![1.0],
-            |x| vec![2.0 * x[0]],
-            FixedPointConfig {
-                max_iters: 10,
-                tolerance: 1e-8,
-                damping: 1.0,
-            },
-        );
-        assert!(!out.converged);
-        assert_eq!(out.iterations, 10);
-        assert!(out.residual > 0.0);
+        let (_, stats) = solve_one(vec![1.0], |x| vec![2.0 * x[0]], config(10, 1e-8, 1.0));
+        assert!(!stats.converged);
+        assert_eq!(stats.iterations, 10);
+        assert!(stats.residual > 0.0);
     }
 
     #[test]
-    fn into_matches_allocating_api_bitwise() {
-        // The allocating wrapper delegates to the in-place core, so the two
-        // must agree to the last bit, including iteration counts.
-        let cfg = FixedPointConfig {
-            max_iters: 40,
-            tolerance: 1e-6,
-            damping: 0.45,
-        };
-        let map = |x: &[f64]| vec![0.3 * x[1] + 0.7, (0.5 * x[0]).cos()];
-        let out = solve_fixed_point(vec![0.1, 4.0], map, cfg);
-        let mut x = vec![0.1, 4.0];
-        let mut fx = Vec::new();
-        let stats = solve_fixed_point_into(
-            &mut x,
-            &mut fx,
-            |x, out| {
-                out.push(0.3 * x[1] + 0.7);
-                out.push((0.5 * x[0]).cos());
-            },
-            cfg,
-        );
-        assert_eq!(x, out.state);
-        assert_eq!(stats.iterations, out.iterations);
-        assert_eq!(stats.converged, out.converged);
-        assert_eq!(stats.residual.to_bits(), out.residual.to_bits());
-    }
-
-    #[test]
-    fn into_reuses_the_scratch_buffer() {
+    fn reuses_the_scratch_buffer() {
         let mut x = vec![0.0];
+        let mut stats = [FixedPointStats::default()];
         let mut fx = Vec::with_capacity(1);
         let before = fx.capacity();
-        let stats = solve_fixed_point_into(
+        solve_fixed_point_batch_into(
             &mut x,
+            &[1],
+            &mut [true],
+            &mut stats,
             &mut fx,
-            |x, out| out.push(0.5 * x[0] + 1.0),
-            FixedPointConfig {
-                max_iters: 200,
-                tolerance: 1e-10,
-                damping: 1.0,
-            },
+            |_, x, out| out.push(0.5 * x[0] + 1.0),
+            config(200, 1e-10, 1.0),
         );
-        assert!(stats.converged);
+        assert!(stats[0].converged);
         assert!((x[0] - 2.0).abs() < 1e-8);
         assert_eq!(fx.capacity(), before, "scratch buffer must not regrow");
     }
 
     #[test]
-    #[should_panic(expected = "dimension")]
-    fn into_rejects_dimension_change() {
-        let mut x = vec![0.0];
-        let mut fx = Vec::new();
-        solve_fixed_point_into(
-            &mut x,
-            &mut fx,
-            |_, out| out.extend_from_slice(&[0.0, 1.0]),
-            FixedPointConfig::default(),
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "damping")]
     fn rejects_bad_damping() {
-        solve_fixed_point(
-            vec![0.0],
-            |x| x.to_vec(),
-            FixedPointConfig {
-                max_iters: 1,
-                tolerance: 1e-4,
-                damping: 0.0,
-            },
-        );
+        solve_one(vec![0.0], |x| x.to_vec(), config(1, 1e-4, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "dimension")]
     fn rejects_dimension_change() {
-        solve_fixed_point(vec![0.0], |_| vec![0.0, 1.0], FixedPointConfig::default());
+        solve_one(vec![0.0], |_| vec![0.0, 1.0], config(60, 1e-4, 0.5));
     }
 
-    /// Deterministic per-lane affine contractions for the batch tests: lane
-    /// `l` solves `x_i = a_l * x_i + b_l + i` element-wise.
+    /// The lane whose map expands, so it exhausts its budget unconverged.
+    const SICK_LANE: usize = 6;
+
+    /// Deterministic per-lane affine maps for the batch tests: lane `l`
+    /// solves `x_i = a_l * x_i + b_l + i` element-wise. Every lane but
+    /// [`SICK_LANE`] is a contraction.
     fn lane_map(l: usize, x: &[f64], out: &mut Vec<f64>) {
-        let a = 0.2 + 0.1 * (l % 5) as f64;
+        let a = if l == SICK_LANE {
+            1.5
+        } else {
+            0.2 + 0.1 * (l % 5) as f64
+        };
         let b = 1.0 + l as f64;
         for (i, xi) in x.iter().enumerate() {
             out.push(a * xi + b + i as f64);
@@ -431,13 +306,10 @@ mod tests {
 
     #[test]
     fn batch_lanes_match_scalar_solves_bitwise() {
-        // Mixed lane widths, including an empty lane in the middle.
-        let widths = [3usize, 1, 0, 5, 2, 4];
-        let cfg = FixedPointConfig {
-            max_iters: 120,
-            tolerance: 1e-7,
-            damping: 0.6,
-        };
+        // Mixed lane widths, including an empty lane in the middle and a
+        // lane that never converges.
+        let widths = [3usize, 1, 0, 5, 2, 4, 2];
+        let cfg = config(120, 1e-7, 0.6);
         let mut flat = Vec::new();
         let mut lane_ends = Vec::new();
         for (l, &w) in widths.iter().enumerate() {
@@ -448,14 +320,7 @@ mod tests {
         }
         let initial = flat.clone();
         let mut active = vec![true; widths.len()];
-        let mut stats = vec![
-            FixedPointStats {
-                iterations: 0,
-                converged: false,
-                residual: 0.0,
-            };
-            widths.len()
-        ];
+        let mut stats = vec![FixedPointStats::default(); widths.len()];
         let mut fx = Vec::new();
         let converged = solve_fixed_point_batch_into(
             &mut flat,
@@ -466,22 +331,25 @@ mod tests {
             lane_map,
             cfg,
         );
-        assert_eq!(converged, widths.len());
-        assert!(active.iter().all(|&a| !a));
+        assert_eq!(converged, widths.len() - 1);
+        for (l, &a) in active.iter().enumerate() {
+            assert_eq!(a, l == SICK_LANE, "lane {l} mask");
+        }
+        assert!(!stats[SICK_LANE].converged);
+        assert_eq!(stats[SICK_LANE].iterations, cfg.max_iters);
 
-        // Each lane re-solved alone must agree to the last bit.
+        // Each lane re-solved alone by the reference loop must agree to the
+        // last bit.
         let mut start = 0usize;
         for (l, &end) in lane_ends.iter().enumerate() {
             let mut lane: Vec<f64> = initial[start..end].to_vec();
-            let mut lane_fx = Vec::new();
-            let scalar =
-                solve_fixed_point_into(&mut lane, &mut lane_fx, |x, out| lane_map(l, x, out), cfg);
+            let alone = reference_solve(&mut lane, |x, out| lane_map(l, x, out), cfg);
             assert_eq!(&flat[start..end], &lane[..], "lane {l} state diverged");
-            assert_eq!(stats[l].iterations, scalar.iterations, "lane {l}");
-            assert_eq!(stats[l].converged, scalar.converged, "lane {l}");
+            assert_eq!(stats[l].iterations, alone.iterations, "lane {l}");
+            assert_eq!(stats[l].converged, alone.converged, "lane {l}");
             assert_eq!(
                 stats[l].residual.to_bits(),
-                scalar.residual.to_bits(),
+                alone.residual.to_bits(),
                 "lane {l}"
             );
             start = end;
@@ -490,8 +358,6 @@ mod tests {
 
     #[test]
     fn batch_empty_lane_converges_in_one_iteration() {
-        // An empty lane mirrors an empty scalar solve: one iteration, zero
-        // residual.
         let mut x: [f64; 0] = [];
         let mut active = [true];
         let mut stats = [FixedPointStats {
@@ -507,7 +373,7 @@ mod tests {
             &mut stats,
             &mut fx,
             |_, _, _| {},
-            FixedPointConfig::default(),
+            config(60, 1e-4, 0.5),
         );
         assert_eq!(converged, 1);
         assert_eq!(stats[0].iterations, 1);
@@ -522,11 +388,7 @@ mod tests {
         let mut evals = [0usize; 2];
         let mut x = vec![2.0, 1.0];
         let mut active = [true, true];
-        let mut stats = [FixedPointStats {
-            iterations: 0,
-            converged: false,
-            residual: 0.0,
-        }; 2];
+        let mut stats = [FixedPointStats::default(); 2];
         let mut fx = Vec::new();
         solve_fixed_point_batch_into(
             &mut x,
@@ -538,11 +400,7 @@ mod tests {
                 evals[l] += 1;
                 out.push(if l == 0 { x[0] } else { 2.0 * x[0] });
             },
-            FixedPointConfig {
-                max_iters: 10,
-                tolerance: 1e-8,
-                damping: 1.0,
-            },
+            config(10, 1e-8, 1.0),
         );
         assert_eq!(evals[0], 1, "converged lane must drop out of the mask");
         assert_eq!(evals[1], 10);
@@ -568,11 +426,7 @@ mod tests {
             &mut stats,
             &mut fx,
             |_, x, out| out.push(0.5 * x[0] + 1.0),
-            FixedPointConfig {
-                max_iters: 200,
-                tolerance: 1e-10,
-                damping: 1.0,
-            },
+            config(200, 1e-10, 1.0),
         );
         assert_eq!(converged, 1);
         assert!((x[0] - 2.0).abs() < 1e-8);
@@ -584,21 +438,16 @@ mod tests {
     #[should_panic(expected = "lane_ends must cover")]
     fn batch_rejects_short_lane_layout() {
         let mut x = vec![0.0, 0.0];
-        let mut active = [true];
-        let mut stats = [FixedPointStats {
-            iterations: 0,
-            converged: false,
-            residual: 0.0,
-        }];
+        let mut stats = [FixedPointStats::default()];
         let mut fx = Vec::new();
         solve_fixed_point_batch_into(
             &mut x,
             &[1],
-            &mut active,
+            &mut [true],
             &mut stats,
             &mut fx,
             |_, _, out| out.push(0.0),
-            FixedPointConfig::default(),
+            config(60, 1e-4, 0.5),
         );
     }
 
@@ -606,21 +455,16 @@ mod tests {
     #[should_panic(expected = "active mask")]
     fn batch_rejects_mask_length_mismatch() {
         let mut x = vec![0.0];
-        let mut active = [true, true];
-        let mut stats = [FixedPointStats {
-            iterations: 0,
-            converged: false,
-            residual: 0.0,
-        }];
+        let mut stats = [FixedPointStats::default()];
         let mut fx = Vec::new();
         solve_fixed_point_batch_into(
             &mut x,
             &[1],
-            &mut active,
+            &mut [true, true],
             &mut stats,
             &mut fx,
             |_, _, out| out.push(0.0),
-            FixedPointConfig::default(),
+            config(60, 1e-4, 0.5),
         );
     }
 }

@@ -38,7 +38,7 @@ pub mod time;
 pub mod trace;
 
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
-pub use fixedpoint::{solve_fixed_point, FixedPointConfig, FixedPointOutcome};
+pub use fixedpoint::FixedPointConfig;
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{Histogram, OnlineStats, P2Quantile, SampleSet};

@@ -61,10 +61,12 @@ fi
 
 echo "== solver identity tests =="
 # The hot-path determinism contract: scratch reuse and memoization must be
-# bit-identical to fresh solves (tests/solver_hot.rs). Always runs, even
-# though `cargo test -q --workspace` above covers it, so a partial
-# invocation of this script section still gates the contract.
-cargo test -q --release --test solver_hot
+# bit-identical to fresh solves (tests/solver_hot.rs), and an N-lane batch
+# must be bit-identical to each lane's one-lane solve, sick lanes included
+# (tests/fleet_batch.rs). Always runs, even though `cargo test -q
+# --workspace` above covers it, so a partial invocation of this script
+# section still gates the contract.
+cargo test -q --release --test solver_hot --test fleet_batch
 
 echo "== fault-matrix smoke (KELP_QUICK=1) =="
 # Any escaped panic, error record, or hardened band violation exits nonzero.

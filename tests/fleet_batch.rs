@@ -1,11 +1,11 @@
 //! Randomized identity tests for the batched SoA solver (ISSUE 6).
 //!
 //! The batch path is only safe if it is invisible: packing N machines'
-//! solves into one flat fixed-point engine must reproduce the scalar path
-//! bit-for-bit — per-lane rates, distress signals, counters, solve stats
-//! and memo contents — with warm starts both off and on, for any worker
-//! shard count. Same deterministic [`SimRng`] case generation as
-//! `tests/solver_hot.rs`.
+//! solves into one flat fixed-point engine must reproduce each machine's
+//! one-lane solve bit-for-bit — per-lane rates, distress signals, counters,
+//! solve stats and memo contents — with warm starts both off and on, under
+//! solver stress, for any worker shard count. Same deterministic [`SimRng`]
+//! case generation as `tests/solver_hot.rs`.
 
 use kelp_host::{
     CpuAllocation, HostBatch, HostMachine, HostTaskId, MachineReport, Priority, TaskSpec,
@@ -13,7 +13,7 @@ use kelp_host::{
 };
 use kelp_mem::batch::BatchSolver;
 use kelp_mem::solver::{
-    FixedFlow, MemSystem, SolverInput, SolverOutput, SolverScratch, SolverTask, TaskKey,
+    FixedFlow, MemSystem, SolveStats, SolverInput, SolverOutput, SolverScratch, SolverTask, TaskKey,
 };
 use kelp_mem::topology::{DomainId, MachineSpec, SncMode, SocketId};
 use kelp_simcore::rng::SimRng;
@@ -80,6 +80,13 @@ fn arb_input(rng: &mut SimRng) -> SolverInput {
     SolverInput { tasks, fixed_flows }
 }
 
+/// Solver stress for half the draws: a halved budget (0.5), a primary that
+/// diverges but rescues (0.97), or a one-iteration budget wedged past the
+/// rescue (0.999).
+fn arb_stress(rng: &mut SimRng) -> Option<f64> {
+    [None, None, None, Some(0.5), Some(0.97), Some(0.999)][rng.below(6) as usize]
+}
+
 fn arb_system(rng: &mut SimRng, warm: bool) -> MemSystem {
     let snc = if rng.below(2) == 0 {
         SncMode::Disabled
@@ -90,15 +97,17 @@ fn arb_system(rng: &mut SimRng, warm: bool) -> MemSystem {
     if rng.below(3) == 0 {
         sys.set_adaptive_prefetch(Some(Default::default()));
     }
+    sys.set_solver_stress(arb_stress(rng));
     sys.set_warm_start(warm);
     sys
 }
 
 /// Drives `rounds` rounds of N-lane batched solves against serial
-/// [`MemSystem::solve_with`] on an identical second set of scratches and
-/// asserts bitwise-equal outputs. Warm state lives per-lane in each scratch,
-/// so this must hold with warm starts on as well as off.
-fn check_batch_matches_serial(rng: &mut SimRng, warm: bool) {
+/// [`MemSystem::solve_with`] (one-lane batches) on an identical second set
+/// of scratches and asserts bitwise-equal outputs. Warm state lives
+/// per-lane in each scratch, so this must hold with warm starts on as well
+/// as off. Returns how many lanes did not converge.
+fn check_batch_matches_serial(rng: &mut SimRng, warm: bool) -> usize {
     let sys = arb_system(rng, warm);
     let lanes = 1 + rng.below(5) as usize;
     let mut serial_scratch: Vec<SolverScratch> =
@@ -106,6 +115,7 @@ fn check_batch_matches_serial(rng: &mut SimRng, warm: bool) {
     let mut batch_scratch: Vec<SolverScratch> =
         (0..lanes).map(|_| SolverScratch::default()).collect();
     let mut batch = BatchSolver::new();
+    let mut non_converged = 0;
     for round in 0..3 {
         // Occasionally repeat a lane's previous input so warm seeds engage.
         let inputs: Vec<SolverInput> = (0..lanes).map(|_| arb_input(rng)).collect();
@@ -122,24 +132,36 @@ fn check_batch_matches_serial(rng: &mut SimRng, warm: bool) {
             outputs, serial,
             "round {round} diverged (warm={warm}, lanes={lanes})"
         );
+        non_converged += outputs.iter().filter(|o| !o.converged).count();
     }
+    non_converged
 }
 
 /// (a) Batched mem solves are bitwise-identical to serial solves with warm
-/// starts off.
+/// starts off, non-converged lanes included.
 #[test]
 fn batched_solves_match_serial_bitwise_cold() {
-    for_cases(0xF1EE_7B00, |rng| check_batch_matches_serial(rng, false));
+    let mut non_converged = 0;
+    for_cases(0xF1EE_7B00, |rng| {
+        non_converged += check_batch_matches_serial(rng, false);
+    });
+    assert!(non_converged > 0, "no case exhausted its budget");
 }
 
 /// (b) ... and with warm starts on: warm state is per-lane, never shared.
 #[test]
 fn batched_solves_match_serial_bitwise_warm() {
-    for_cases(0xF1EE_7B01, |rng| check_batch_matches_serial(rng, true));
+    let mut non_converged = 0;
+    for_cases(0xF1EE_7B01, |rng| {
+        non_converged += check_batch_matches_serial(rng, true);
+    });
+    assert!(non_converged > 0, "no case exhausted its budget");
 }
 
 /// Builds a randomized small host fleet: every machine gets a high-priority
-/// ML task, most also get low-priority batch tasks.
+/// ML task, most also get low-priority batch tasks, and some run under
+/// solver stress (so their lanes take the rescue and safe-state ladder, and
+/// their unequal memory systems split the batch into groups).
 fn arb_fleet(rng: &mut SimRng, n: usize) -> (Vec<HostMachine>, Vec<Vec<HostTaskId>>) {
     let mut machines = Vec::with_capacity(n);
     let mut tasks = Vec::with_capacity(n);
@@ -165,6 +187,7 @@ fn arb_fleet(rng: &mut SimRng, n: usize) -> (Vec<HostMachine>, Vec<Vec<HostTaskI
                 vec![CpuAllocation::local(DomainId::new(1, 0), 8)],
             ));
         }
+        m.set_solver_stress(arb_stress(rng));
         machines.push(m);
         tasks.push(ids);
     }
@@ -174,10 +197,10 @@ fn arb_fleet(rng: &mut SimRng, n: usize) -> (Vec<HostMachine>, Vec<Vec<HostTaskI
 /// (c) A batch-stepped fleet is indistinguishable from serially-solved
 /// machines under a randomized churn schedule: reports (rates, distress
 /// speed factors, counters), solve stats and memo contents all match
-/// bit-for-bit, and the stale-slot in-place refresh matches the allocating
-/// step.
+/// bit-for-bit, sick lanes' rescues and safe states included.
 #[test]
 fn host_batch_fleet_matches_serial_bitwise() {
+    let mut ladder = SolveStats::default();
     for_cases(0xF1EE_7B02, |rng| {
         let n = 2 + rng.below(5) as usize;
         // Two fleets from identical RNG streams (a clone replays the same
@@ -220,8 +243,11 @@ fn host_batch_fleet_matches_serial_bitwise() {
                 s.memo_snapshot(),
                 "memo contents diverged"
             );
+            ladder.absorb(&s.solve_stats());
         }
     });
+    assert!(ladder.rescues > 0, "no lane was rescued");
+    assert!(ladder.safe_states > 0, "no lane reached the safe state");
 }
 
 /// (d) FleetSim stepping is invariant in the worker shard count: the same
